@@ -2,9 +2,9 @@
 
 From-scratch reimplementation of the *capabilities* of yushaolong10/data-sync
 (MySQL binlog CDC replication) as an idiomatic Ray Data pipeline: ordered
-change events (insert/update/delete on doc_id) hash-partitioned and applied
-via zero-copy Arrow map_batches on stateful actor pools performing
-last-writer-wins merge-on-read upsert into a copy-on-write Parquet lake,
+change events (insert/update/delete on doc_id) hash-partitioned through a
+streaming spill exchange and applied by one fold task per partition group
+as last-writer-wins merge-on-read upserts into a copy-on-write Parquet lake,
 with exactly-once commit logs, checkpoint-resumable replay, schema
 evolution by Arrow unification, and per-partition lineage metrics.
 """

@@ -29,18 +29,11 @@ class SyncConfig:
     filter_cols: dict[str, tuple[str, ...]] = dataclasses.field(
         default_factory=dict
     )
-    num_partitions: int = 32  # P; pick 4-8× the apply actor pool size
-    # partition router: 'spill' (default) = streaming filesystem exchange
-    # (stages/exchange.py, no all-to-all barrier); 'sort' = Ray Data
-    # groupby (sort-based shuffle) — kept for cross-checking and for
-    # deployments without shared spill storage
-    exchange_mode: str = "spill"
-    spill_groups: int = 16  # phase-2 fan-out; size to the cluster
-    # 'tasks' (default): group-apply runs as Ray tasks — elastic, no pool
-    # startup per epoch. 'actors': PartitionApplier actor pool — use when
-    # per-actor state is expensive to build (remote manifests, big caches).
-    apply_mode: str = "tasks"
-    apply_concurrency: int | tuple[int, int] = 4  # actor pool size
+    # P hash partitions of the key; one checkpoint + commit log each
+    num_partitions: int = 32
+    # fold fan-out of the spill exchange (stages/exchange.py): one fold
+    # task per group of partitions (partition % G); size to the cluster
+    spill_groups: int = 16
     batch_size: int = 32_768  # events per transform batch
     # fold memory budget: a fold task LWW-reduces its spill fragments
     # incrementally once this many buffered rows accumulate, so fold
@@ -108,10 +101,7 @@ class SyncConfig:
                 k: tuple(v) for k, v in sec.get("filter_cols", {}).items()
             },
             num_partitions=int(sec.get("num_partitions", 32)),
-            exchange_mode=sec.get("exchange_mode", "spill"),
             spill_groups=int(sec.get("spill_groups", 16)),
-            apply_mode=sec.get("apply_mode", "tasks"),
-            apply_concurrency=int(sec.get("apply_concurrency", 4)),
             batch_size=int(sec.get("batch_size", 32768)),
             fold_chunk_rows=int(sec.get("fold_chunk_rows", 2_000_000)),
             hot_key_threshold=float(sec.get("hot_key_threshold", 0.05)),
@@ -129,14 +119,17 @@ class SyncConfig:
 
     @staticmethod
     def from_json(s: str) -> "SyncConfig":
+        """Parse `to_json` output. The fields of the removed sort exchange
+        and actor-pool apply are dropped, so a lake whose CONFIG.json
+        still names them opens."""
         d = json.loads(s)
+        for k in ("exchange_mode", "apply_mode", "apply_concurrency"):
+            d.pop(k, None)
         d["include_tables"] = tuple(d.get("include_tables", ()))
         d["exclude_tables"] = tuple(d.get("exclude_tables", ()))
         d["filter_cols"] = {
             k: tuple(v) for k, v in d.get("filter_cols", {}).items()
         }
-        if isinstance(d.get("apply_concurrency"), list):
-            d["apply_concurrency"] = tuple(d["apply_concurrency"])
         d["stats_columns"] = tuple(d.get("stats_columns", ()))
         return SyncConfig(**d)
 

@@ -37,10 +37,7 @@ MUTABLE_FIELDS = (
     "include_tables",
     "exclude_tables",
     "filter_cols",
-    "exchange_mode",
     "spill_groups",
-    "apply_mode",
-    "apply_concurrency",
     "batch_size",
     "fold_chunk_rows",
     "span_commit_epochs",
@@ -118,18 +115,8 @@ class ControlPlane:
                 isinstance(k, str) and isinstance(c, (list, tuple))
                 for k, c in v.items()
             ),
-            "exchange_mode": lambda v: v in ("spill", "sort"),
             "spill_groups": lambda v: isinstance(v, int)
             and not isinstance(v, bool) and v >= 1,
-            "apply_mode": lambda v: v in ("tasks", "actors"),
-            "apply_concurrency": lambda v: (
-                isinstance(v, int) and not isinstance(v, bool) and v >= 1
-            )
-            or (
-                isinstance(v, (list, tuple))
-                and len(v) == 2
-                and all(isinstance(x, int) and x >= 1 for x in v)
-            ),
             "batch_size": lambda v: isinstance(v, int)
             and not isinstance(v, bool) and v >= 1,
             "fold_chunk_rows": lambda v: isinstance(v, int)
@@ -166,8 +153,6 @@ class ControlPlane:
         for k in ("include_tables", "exclude_tables"):
             d[k] = tuple(d[k])
         d["filter_cols"] = {k: tuple(v) for k, v in d["filter_cols"].items()}
-        if isinstance(d.get("apply_concurrency"), list):
-            d["apply_concurrency"] = tuple(d["apply_concurrency"])
         return SyncConfig(**d), applied, rejected
 
     def write_status(self, payload: dict) -> None:

@@ -4,39 +4,27 @@ include/exclude rules (/root/reference/src/application/mysql_handler.go:
 483-525 iterates the source∩target table intersection).
 
 Each table gets `lake_root/<table>/` and an include filter of exactly that
-table; the event log is shared. Two replay modes:
-
-- ``replay()``            — one pass per table (simple; N tables = N reads
-                            of the shared log).
-- ``replay_single_pass()``— ONE streaming pass over the log; each batch
-                            routes through every table's transform+spill in
-                            the same task, then per-table fold/commit. At
-                            scale this is the right shape: the 100-TB log
-                            is read once no matter how many tables the
-                            task syncs (the reference pays one Kafka
-                            consume per task, not per table).
+table; the event log is shared. `replay()` hands every table to the one
+replay driver (pipelines/replay.py `replay_jobs`): ONE streaming pass over
+the log runs each table's transform+spill on every batch in the same task
+(the per-table transform's leading filter prunes foreign rows vectorized,
+so extra-table CPU is ~the mask), then each table folds and commits its
+own lake through its own exactly-once commit log. At scale this is the
+right shape: the log is read once no matter how many tables the task
+syncs (the reference pays one Kafka consume per task, not per table).
+Resume is per lake: a table whose epochs are already done spills nothing.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import os
-import time
 
 import pyarrow as pa
 import ray.data as rd
 
 from ..config import SyncConfig
-from ..datamodel import list_epoch_dirs
-from ..state.lake import BOOTSTRAP_EPOCH
-from ..stages.exchange import (
-    COUNTS_SCHEMA,
-    cleanup_spill,
-    make_spill_stage,
-    prepare_spill_dirs,
-)
-from .replay import ReplayJob
+from .replay import ReplayJob, replay_jobs
 
 
 class MultiTableReplay:
@@ -55,105 +43,19 @@ class MultiTableReplay:
         self,
         events_root: str,
         bootstraps: dict[str, pa.Table | rd.Dataset] | None = None,
-    ) -> dict[str, dict]:
-        out = {}
-        for t in self.tables:
-            boot = (bootstraps or {}).get(t)
-            out[t] = self.jobs[t].replay(events_root, bootstrap=boot)
-        return out
-
-    def replay_single_pass(
-        self,
-        events_root: str,
-        bootstraps: dict[str, pa.Table | rd.Dataset] | None = None,
         publish: bool = True,
     ) -> dict[str, dict]:
-        """One streaming pass over the shared log for ALL tables.
-
-        Phase 1 runs every table's transform+spill closure against each
-        batch inside one task (the per-table transform's leading filter
-        prunes foreign rows vectorized, so extra-table CPU is ~the mask);
-        phase 2 folds/commits each table's lake independently through its
-        own exactly-once commit log. Resume semantics are per lake: a
-        table whose epochs are already done contributes no spill closure.
-        """
-        t0 = time.perf_counter()
-        for t, job in self.jobs.items():
-            if job.cfg.exchange_mode != "spill":
-                raise ValueError(
-                    f"replay_single_pass requires exchange_mode='spill' "
-                    f"(table {t!r} is {job.cfg.exchange_mode!r})"
-                )
-        with contextlib.ExitStack() as stack:
-            for job in self.jobs.values():
-                stack.enter_context(job.lake.job_lock())
-            all_epochs = list_epoch_dirs(events_root)
-            pending: dict[str, list[int]] = {}
-            boot_spilled: dict[str, bool] = {}
-            committed: dict[str, dict] = {}
-            for t, job in self.jobs.items():
-                job.lake.sweep_stale_tmp()
-                done = job.lake.epochs_done()
-                if done:
-                    cleanup_spill(job.cfg.lake_root, sorted(done))
-                pending[t] = [e for e, _ in all_epochs if e not in done]
-                # once per table: the spill phase never commits, so the
-                # committed map cannot change between bootstrap and stream
-                committed[t] = job.committed_map()
-                boot = (bootstraps or {}).get(t)
-                boot_spilled[t] = False
-                if boot is not None and BOOTSTRAP_EPOCH not in done:
-                    job.spill_bootstrap(boot, committed[t] or None, table=t)
-                    boot_spilled[t] = True
-            # ONE pass: each table's spill closure over the same stream
-            spill_fns = []
-            for t, job in self.jobs.items():
-                if not pending[t]:
-                    continue
-                prepare_spill_dirs(
-                    job.cfg.lake_root, pending[t], job.cfg.spill_groups
-                )
-                spill_fns.append(
-                    make_spill_stage(
-                        job.cfg, None, committed[t] or None, pending[t]
-                    )
-                )
-            if spill_fns:
-                ds = rd.read_parquet(events_root)
-
-                def multi_spill(batch: pa.Table) -> pa.Table:
-                    outs = [fn(batch) for fn in spill_fns]
-                    outs = [o for o in outs if o.num_rows]
-                    if not outs:
-                        return COUNTS_SCHEMA.empty_table()
-                    return pa.concat_tables(outs)
-
-                ds.map_batches(
-                    multi_spill,
-                    batch_format="pyarrow",
-                    batch_size=next(iter(self.jobs.values())).cfg.batch_size,
-                    zero_copy_batch=True,
-                ).take_all()
-            # phase 2: per-table fold/commit (exactly-once per lake)
-            out: dict[str, dict] = {}
-            for t, job in self.jobs.items():
-                epochs_t = list(pending[t])
-                if boot_spilled[t]:
-                    epochs_t.append(BOOTSTRAP_EPOCH)
-                rows = job._fold_phase(epochs_t) if epochs_t else []
-                for e in epochs_t:
-                    job.lake.mark_epoch_done(e)
-                cleanup_spill(job.cfg.lake_root, epochs_t)
-                if publish:
-                    job.lake.publish_manifest(note="multi single-pass")
-                events = sum(r["events_in"] for r in rows)
-                out[t] = {
-                    "epochs_run": len(pending[t]),
-                    "events_applied": events,
-                    "sec": time.perf_counter() - t0,
-                    "metrics": rows,
-                }
-            return out
+        """Replay the shared log into every table's lake in one pass;
+        bootstraps[t] loads table t's snapshot as epoch -1."""
+        bootstraps = bootstraps or {}
+        boots = [
+            None if bootstraps.get(t) is None else (t, bootstraps[t])
+            for t in self.tables
+        ]
+        outs = replay_jobs(
+            [self.jobs[t] for t in self.tables], events_root, boots, publish
+        )
+        return dict(zip(self.tables, outs))
 
     def read_table(self, table: str) -> pa.Table:
         return self.jobs[table].lake.read_all()

@@ -3854,12 +3854,6 @@ def corpus_prep_stats(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-def _stop_in() -> str:
-    from ..functions.text import STOPWORDS
-
-    return ", ".join(f"'{w}'" for w in sorted(STOPWORDS))
-
-
 CORPUS_PREP_SQL = f"""
 WITH g AS (
   SELECT doc_id, text,
@@ -5645,8 +5639,7 @@ def _build_cdc_fixture_lake(prefix: str):
         ev_root = os.path.join(work, "events")
         write_event_log(ev_root, gen_change_stream(spec))
         cfg = SyncConfig(
-            lake_root=os.path.join(work, "lake"), num_partitions=16,
-            apply_concurrency=4,
+            lake_root=os.path.join(work, "lake"), num_partitions=16
         )
         job = ReplayJob(cfg)
         job.bootstrap(base)
@@ -5760,7 +5753,7 @@ def _build_zorder_fixture_lake() -> str:
         root = os.path.join(dst, "lake")
         shutil.copytree(cfg.lake_root, root)
         zcfg = SyncConfig(
-            lake_root=root, num_partitions=16, apply_concurrency=4,
+            lake_root=root, num_partitions=16,
             stats_columns=("n_tok", "log_pos"),
         )
         lake = _Lake.create(zcfg)  # stats_columns is hot-swappable
@@ -5853,8 +5846,7 @@ def _build_vacuum_fixture_lake() -> str:
         live = os.path.join(work, "events")
         os.makedirs(live, exist_ok=True)
         cfg = SyncConfig(
-            lake_root=os.path.join(work, "lake"), num_partitions=16,
-            apply_concurrency=4,
+            lake_root=os.path.join(work, "lake"), num_partitions=16
         )
         job = ReplayJob(cfg)
         job.bootstrap(base)

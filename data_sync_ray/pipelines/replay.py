@@ -2,34 +2,41 @@
 inspect (consistency checker), distributed lake read, compaction.
 
 Replay maps the reference's core path (/root/reference entry point 3.1:
-Kafka -> parse -> filter -> per-event SQL apply) onto Ray Data:
+Kafka -> parse -> filter -> per-event SQL apply) onto Ray Data through one
+driver, `replay_jobs`, for one table or N tables sharing an event log:
 
-    read_parquet(epoch dir)                       # Kafka-topic replay analog
-      -> map_batches(transform, pyarrow)          # parse/filter/pre-combine
-      -> groupby("partition")                     # the hash exchange
-      -> map_groups(PartitionApplier actor pool)  # exactly-once LWW commit
-      -> metrics Dataset (tiny)                   # per-partition lineage
+    read_parquet(pending epochs' files)           # Kafka-topic replay analog
+      -> map_batches(every table's spill stage)   # parse/filter/pre-combine
+                                                  # + spill by (epoch, group)
+    from_items(groups)
+      -> map_batches(fold + commit), per table    # exactly-once LWW commit
+      -> metrics rows (tiny)                      # per-partition lineage
 
-One Dataset execution per epoch (micro-batch = epoch, the reference's
-"tailing" analog); the streaming executor pipelines read/transform/apply
-within an epoch with backpressure. Resume: epoch marker + per-partition
-commit logs => crash anywhere, rerun, identical final state.
+Two Ray Data executions per round: the spill (streaming, no barrier) and
+the fold (one task per group; stages/exchange.py). A backlog of several
+epochs, and the bootstrap snapshot, go through one round. Resume: epoch
+markers + per-(partition, epoch) commit logs => crash anywhere, rerun,
+identical final state.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import json
 import os
+import threading
 import time
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..config import SyncConfig
 from ..datamodel import BOOTSTRAP_SRC_LOG_POS, list_epoch_dirs
-from ..stages.apply import METRICS_SCHEMA, PartitionApplier
 from ..stages.groupmap import per_group
 from ..stages.exchange import (
     cleanup_spill,
@@ -38,7 +45,6 @@ from ..stages.exchange import (
     prepare_spill_dirs,
 )
 from ..stages.merge import unify_concat
-from ..stages.transform import make_transform
 from ..state.lake import BOOTSTRAP_EPOCH, Lake
 
 #: epoch-id space reserved for repair runs so they never collide with
@@ -111,6 +117,237 @@ def as_insert_events(t: pa.Table, table_name: str = "docs") -> pa.Table:
     return t
 
 
+def _snapshot_events(
+    snapshot: rd.Dataset | pa.Table, table: str
+) -> rd.Dataset:
+    """A snapshot as insert events; a driver-held table is sliced so the
+    spill parallelizes."""
+    if isinstance(snapshot, pa.Table):
+        snapshot = _table_to_blocks(snapshot)
+    return snapshot.map_batches(
+        lambda t: as_insert_events(t, table), batch_format="pyarrow"
+    )
+
+
+def _spill_pass(
+    ds: rd.Dataset, stages: dict[int, Callable], batch_size: int
+) -> collections.Counter:
+    """Exchange phase 1 for several jobs in ONE execution: every batch runs
+    each job's spill stage. The take_all is the phase boundary (fragments
+    durable on return). Returns rows spilled per (job, epoch, group)."""
+
+    def spill_all(batch: pa.Table) -> pa.Table:
+        outs = []
+        for job, stage in stages.items():
+            counts = stage(batch)
+            outs.append(counts.append_column(
+                "job", pa.array([job] * counts.num_rows, pa.int32())
+            ))
+        return pa.concat_tables(outs)
+
+    spilled: collections.Counter = collections.Counter()
+    for r in ds.map_batches(
+        spill_all,
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        zero_copy_batch=True,
+    ).take_all():
+        spilled[(r["job"], r["epoch"], r["g"])] += r["rows"]
+    return spilled
+
+
+def _fold(
+    cfg: SyncConfig, epochs: list[int], spilled: collections.Counter, job: int
+) -> list[dict]:
+    """Exchange phase 2: ONE fold+commit task per group (all epochs) — a
+    partition's checkpoint must only ever be written by one task. The fold
+    checks each (epoch, group) against the rows `job` spilled into it."""
+    counts = {(e, g): n for (j, e, g), n in spilled.items() if j == job}
+    return (
+        rd.from_items([{"g": g} for g in range(cfg.spill_groups)])
+        .map_batches(
+            make_fold_commit_stage(cfg, epochs, counts),
+            batch_format="pyarrow",
+            batch_size=1,
+        )
+        .take_all()
+    )
+
+
+def _read_epochs(paths: list[str]) -> rd.Dataset | None:
+    """The parquet files of the given epoch dirs — only those, never the
+    whole log — as one Dataset carrying the hive `epoch` column (a string;
+    the spill stage casts it). None when the dirs hold no files.
+
+    Prunes at the read only when every epoch shares one schema: with schema
+    evolution mid-stream the reader must see all columns (Ray's parquet
+    `columns` arg rejects fields absent from the schema it infers from the
+    first file)."""
+    files, schemas = [], set()
+    for path in paths:
+        names = sorted(f for f in os.listdir(path) if f.endswith(".parquet"))
+        if names:
+            # an epoch's first file stands for its schema
+            first = os.path.join(path, names[0])
+            schemas.add(tuple(pq.read_schema(first).names))
+            files += [os.path.join(path, f) for f in names]
+    if not files:
+        return None
+    if len(schemas) == 1:
+        return rd.read_parquet(files, columns=[*schemas.pop(), "epoch"])
+    return rd.read_parquet(files)
+
+
+def _replay_round(
+    jobs: list[ReplayJob],
+    paths: dict[int, str],
+    pending: list[list[int]],
+    boots: list[tuple[str, rd.Dataset | pa.Table] | None],
+    committed: list[dict[int, set[int]]],
+) -> list[list[dict]]:
+    """One spill pass over the pending epochs' files for every job, then
+    one fold per job; marks the folded epochs done. Returns each job's
+    metrics rows. committed[i]: job i's epoch -> partitions already
+    holding it (crash resume), pruned at the spill."""
+    fold_epochs = [
+        p + ([BOOTSTRAP_EPOCH] if b is not None else [])
+        for p, b in zip(pending, boots)
+    ]
+    # only this round's epochs: the spill stage tests every batch against
+    # each listed epoch
+    committed = [
+        {e: c[e] for e in eps if c.get(e)} or None
+        for c, eps in zip(committed, fold_epochs)
+    ]
+    for job, eps in zip(jobs, fold_epochs):
+        prepare_spill_dirs(job.cfg.lake_root, eps, job.cfg.spill_groups)
+    boot_spilled: collections.Counter = collections.Counter()
+    boot_err: list[BaseException] = []
+
+    def spill_boots():
+        try:
+            for i, b in enumerate(boots):
+                if b is not None:
+                    stage = make_spill_stage(
+                        jobs[i].cfg, BOOTSTRAP_EPOCH, committed[i]
+                    )
+                    boot_spilled.update(_spill_pass(
+                        _snapshot_events(b[1], b[0]), {i: stage},
+                        jobs[i].cfg.batch_size,
+                    ))
+        except BaseException as e:  # re-raised on join
+            boot_err.append(e)
+
+    # overlap the bootstrap spill with the stream spill: the two
+    # executions write DISJOINT spill dirs (epoch -1 vs pending epochs)
+    # and the fold starts only after both join, so durability ordering is
+    # unchanged while the ~0.8s serial bootstrap execution hides under the
+    # big one (measured phase profile, BASELINE.md round 3)
+    boot_thread = None
+    if any(b is not None for b in boots):
+        boot_thread = threading.Thread(target=spill_boots)
+        boot_thread.start()
+    spilled: collections.Counter = collections.Counter()
+    try:
+        stages = {
+            i: make_spill_stage(job.cfg, None, committed[i], pending[i])
+            for i, job in enumerate(jobs)
+            if pending[i]
+        }
+        ds = _read_epochs([paths[e] for e in sorted(set().union(*pending))])
+        if stages and ds is not None:
+            spilled = _spill_pass(ds, stages, jobs[0].cfg.batch_size)
+    finally:
+        # join on the FAILURE path too: an in-process retry would
+        # otherwise prepare_spill_dirs (rmtree epoch -1) while the
+        # orphaned thread is still writing into it
+        if boot_thread is not None:
+            boot_thread.join()
+    if boot_err:
+        raise boot_err[0]
+    spilled.update(boot_spilled)
+    out = []
+    for i, (job, eps) in enumerate(zip(jobs, fold_epochs)):
+        rows = _fold(job.cfg, eps, spilled, i) if eps else []
+        for e in eps:
+            job.lake.mark_epoch_done(e)
+        cleanup_spill(job.cfg.lake_root, eps)
+        out.append(rows)
+    return out
+
+
+def replay_jobs(
+    jobs: list[ReplayJob],
+    events_root: str,
+    boots: list[tuple[str, rd.Dataset | pa.Table] | None],
+    publish: bool = True,
+    catch_up: bool = True,
+) -> list[dict]:
+    """Replay every epoch dir under events_root that each job's lake has
+    not marked done — the one replay driver, for one table or N tables
+    sharing the log (OffsetOldest-from-watermark analog, mq_consumer.go:103).
+
+    boots[i]: (table name, snapshot) to load into job i as epoch -1, or
+    None. catch_up=True replays the whole backlog, bootstrap included, in
+    one round (one spill pass + one fold per job): safe because LWW on the
+    total log_pos order makes commit order across epochs irrelevant, the
+    per-(partition, epoch) commit log still gives exactly-once, and epoch
+    markers are written only after the fold finishes. catch_up=False runs
+    the bootstrap, then each epoch, as its own round.
+
+    Returns one summary per job."""
+    t0 = time.perf_counter()
+    with contextlib.ExitStack() as stack:
+        for job in jobs:
+            stack.enter_context(job.lake.job_lock())
+        log = list_epoch_dirs(events_root)
+        pending: list[list[int]] = []
+        live_boots: list[tuple[str, rd.Dataset | pa.Table] | None] = []
+        for job, boot in zip(jobs, boots):
+            # safe under the job lock: no writer is mid-commit
+            job.lake.sweep_stale_tmp()
+            done = job.lake.epochs_done()
+            if done:
+                # orphaned spill from a crash after commit but before cleanup
+                cleanup_spill(job.cfg.lake_root, sorted(done))
+            pending.append([e for e, _ in log if e not in done])
+            live_boots.append(None if BOOTSTRAP_EPOCH in done else boot)
+        # the spill never commits, so one committed map per job serves
+        # every round (a round commits only its own epochs)
+        committed = [job.committed_map() for job in jobs]
+        if catch_up:
+            rounds = [(pending, live_boots)]
+        else:
+            no_boot = [None] * len(jobs)
+            rounds = [([[] for _ in jobs], live_boots)] + [
+                ([[e] if e in p else [] for p in pending], no_boot)
+                for e, _ in log
+            ]
+        paths = dict(log)
+        metrics: list[list[dict]] = [[] for _ in jobs]
+        for r_pending, r_boots in rounds:
+            if any(r_pending) or any(b is not None for b in r_boots):
+                for i, rows in enumerate(_replay_round(
+                    jobs, paths, r_pending, r_boots, committed
+                )):
+                    metrics[i].extend(rows)
+        if publish:
+            for job in jobs:
+                job.lake.publish_manifest(note=f"replay {events_root}")
+    dt = time.perf_counter() - t0
+    out = []
+    for p, rows in zip(pending, metrics):
+        events = sum(r["events_in"] for r in rows)
+        out.append({
+            "epochs_run": len(p),
+            "events_applied": events,
+            "sec": dt,
+            "events_per_sec": events / dt if dt > 0 else 0.0,
+            "metrics": rows,
+        })
+    return out
+
+
 class ReplayJob:
     """The engine facade: one instance per configured pipeline (the
     TaskHandler analog, /root/reference/src/application/app.go:23-53)."""
@@ -120,99 +357,23 @@ class ReplayJob:
         self.lake = Lake.create(cfg) if create else Lake(cfg.lake_root)
         self._cfg_json = cfg.to_json()
 
-    # --- one epoch ----------------------------------------------------------
-
     def apply_epoch(self, epoch: int, ds: rd.Dataset) -> list[dict]:
-        """Run one epoch's events through transform -> exchange -> apply.
-        Idempotent: committed partitions no-op, completed epochs skip."""
+        """Run one epoch's events (a Dataset the caller built) through
+        transform -> spill -> fold+commit. Idempotent: committed partitions
+        no-op, completed epochs skip."""
         if epoch in self.lake.epochs_done():
             return []
         cfg = self.cfg
         committed = self.lake.committed_partitions(epoch)
-        if cfg.exchange_mode == "spill":
-            rows = self._run_spill_exchange(
-                ds, epochs=[epoch], fixed_epoch=epoch,
-                committed={epoch: committed} if committed else None,
-            )
-            self.lake.mark_epoch_done(epoch)
-            cleanup_spill(cfg.lake_root, [epoch])
-            return rows
-        ds = ds.map_batches(
-            make_transform(cfg),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            zero_copy_batch=True,
+        prepare_spill_dirs(cfg.lake_root, [epoch], cfg.spill_groups)
+        stage = make_spill_stage(
+            cfg, epoch, {epoch: committed} if committed else None
         )
-        if committed:
-            done = pa.array(sorted(committed), pa.int32())
-
-            def drop_committed(t: pa.Table) -> pa.Table:
-                mask = pc.is_in(t.column("partition"), value_set=done)
-                return t.filter(pc.invert(mask))
-
-            ds = ds.map_batches(drop_committed, batch_format="pyarrow")
-        if cfg.apply_mode == "actors":
-            # actor-pool apply: worth it only when per-actor state is heavy
-            # (remote manifest caches). Pool startup costs ~seconds PER
-            # EPOCH (pools don't outlive a Dataset execution), so the
-            # default is task-based apply below. Stays on Ray's
-            # map_groups (callable class + pool); its empty sort
-            # partitions skip the UDF — harmless here, metrics rows are
-            # consumed by take_all below, never by another kernel.
-            metrics = ds.groupby("partition").map_groups(
-                PartitionApplier,
-                batch_format="pyarrow",
-                fn_constructor_args=(cfg.lake_root, epoch, self._cfg_json),
-                concurrency=cfg.apply_concurrency,
-                num_cpus=1,
-            )
-        else:
-            lake_root, cfg_json = cfg.lake_root, self._cfg_json
-
-            def apply_group(group: pa.Table) -> pa.Table:
-                return PartitionApplier(lake_root, epoch, cfg_json)(group)
-
-            metrics = ds.sort("partition").map_batches(
-                per_group(apply_group, "partition", "pyarrow"),
-                batch_size=None, batch_format="pyarrow",
-            )
-        rows = metrics.take_all()  # tiny: one row per partition
+        spilled = _spill_pass(ds, {0: stage}, cfg.batch_size)
+        rows = _fold(cfg, [epoch], spilled, 0)
         self.lake.mark_epoch_done(epoch)
+        cleanup_spill(cfg.lake_root, [epoch])
         return rows
-
-    def _spill_phase(
-        self,
-        ds: rd.Dataset,
-        epochs: list[int],
-        fixed_epoch: int | None,
-        committed: dict[int, set[int]] | None,
-        pending_filter: list[int] | None = None,
-    ) -> None:
-        """Exchange phase 1: transform + spill (streaming, no barrier).
-        The take_all is the phase boundary — fragments durable on return."""
-        cfg = self.cfg
-        prepare_spill_dirs(cfg.lake_root, epochs, cfg.spill_groups)
-        ds.map_batches(
-            make_spill_stage(cfg, fixed_epoch, committed, pending_filter),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            zero_copy_batch=True,
-        ).take_all()
-
-    def _fold_phase(self, epochs: list[int]) -> list[dict]:
-        """Exchange phase 2: ONE fold+commit task per group (all epochs) —
-        a partition's checkpoint must only ever be written by one task."""
-        cfg = self.cfg
-        items = [{"g": g} for g in range(cfg.spill_groups)]
-        return (
-            rd.from_items(items)
-            .map_batches(
-                make_fold_commit_stage(cfg, epochs),
-                batch_format="pyarrow",
-                batch_size=1,
-            )
-            .take_all()
-        )
 
     def committed_map(self) -> dict[int, set[int]]:
         """epoch -> partitions whose commit log already holds it (the
@@ -223,34 +384,6 @@ class ReplayJob:
                 committed.setdefault(e, set()).add(p)
         return committed
 
-    def spill_bootstrap(
-        self,
-        boot: rd.Dataset | pa.Table,
-        committed: dict[int, set[int]] | None = None,
-        table: str = "docs",
-    ) -> None:
-        """Spill the bootstrap snapshot as epoch -1 in its OWN small
-        execution: a union branch would block read->spill operator fusion
-        for the whole stream and cost far more than it saves."""
-        bs = _table_to_blocks(boot) if isinstance(boot, pa.Table) else boot
-        bs = bs.map_batches(
-            lambda t: as_insert_events(t, table), batch_format="pyarrow"
-        )
-        self._spill_phase(bs, [BOOTSTRAP_EPOCH], BOOTSTRAP_EPOCH, committed)
-
-    def _run_spill_exchange(
-        self,
-        ds: rd.Dataset,
-        epochs: list[int],
-        fixed_epoch: int | None,
-        committed: dict[int, set[int]] | None,
-        pending_filter: list[int] | None = None,
-    ) -> list[dict]:
-        self._spill_phase(ds, epochs, fixed_epoch, committed, pending_filter)
-        return self._fold_phase(epochs)
-
-    # --- full replay loop ---------------------------------------------------
-
     def replay(
         self,
         events_root: str,
@@ -258,215 +391,10 @@ class ReplayJob:
         catch_up: bool = True,
         bootstrap: rd.Dataset | pa.Table | None = None,
     ) -> dict:
-        """Replay every epoch dir under events_root not yet marked done —
-        OffsetOldest-from-watermark analog (mq_consumer.go:103).
-
-        catch_up=True: a multi-epoch backlog runs as ONE Dataset execution
-        grouped by (partition, epoch) — one exchange barrier for the whole
-        backlog instead of one per epoch. Safe because LWW on the total
-        log_pos order makes commit order across epochs irrelevant; the
-        per-(partition, epoch) commit log still gives exactly-once, and
-        epoch-done markers are only written after the execution finishes.
-        Tailing (one new epoch at a time) naturally uses the per-epoch path.
-        """
-        t0 = time.perf_counter()
-        with self.lake.job_lock():
-            return self._replay_locked(
-                events_root, publish, catch_up, bootstrap, t0
-            )
-
-    def _replay_locked(self, events_root, publish, catch_up, bootstrap, t0):
-        # safe under the job lock: no writer is mid-commit
-        self.lake.sweep_stale_tmp()
-        done = self.lake.epochs_done()
-        if done:
-            # orphaned spill from a crash after commit but before cleanup
-            cleanup_spill(self.cfg.lake_root, sorted(done))
-        pending = [(e, p) for e, p in list_epoch_dirs(events_root) if e not in done]
-        boot = bootstrap if BOOTSTRAP_EPOCH not in done else None
-        total_events = 0
-        all_metrics: list[dict] = []
-        if catch_up and len(pending) + (boot is not None) > 1:
-            all_metrics = self._apply_epochs_batched(
-                events_root, [e for e, _ in pending], bootstrap=boot
-            )
-            total_events = sum(r["events_in"] for r in all_metrics)
-        else:
-            if boot is not None:
-                all_metrics.extend(self.bootstrap(boot))
-            for epoch, path in pending:
-                # prune at the read: payload columns only (also skips the
-                # hive `epoch` dir column, whose inferred type is unstable)
-                cols = self._event_columns(path)
-                ds = rd.read_parquet(path, columns=cols)
-                rows = self.apply_epoch(epoch, ds)
-                all_metrics.extend(rows)
-                total_events += sum(r["events_in"] for r in rows)
-        if publish:
-            self.lake.publish_manifest(note=f"replay {events_root}")
-        dt = time.perf_counter() - t0
-        return {
-            "epochs_run": len(pending),
-            "events_applied": total_events,
-            "sec": dt,
-            "events_per_sec": total_events / dt if dt > 0 else 0.0,
-            "metrics": all_metrics,
-        }
-
-    def _apply_epochs_batched(
-        self,
-        events_root: str,
-        pending: list[int],
-        bootstrap: rd.Dataset | pa.Table | None = None,
-    ) -> list[dict]:
-        """One execution over all pending epochs (and optionally the
-        bootstrap snapshot as epoch -1); group = (partition, epoch)."""
-        cfg = self.cfg
-        # prune at the read only when every epoch shares one schema; with
-        # schema evolution mid-stream the reader must see all columns
-        # (Ray's parquet `columns` arg rejects fields absent from the
-        # schema it infers from the first file)
-        per_epoch = [
-            tuple(self._event_columns(path) or ())
-            for _, path in list_epoch_dirs(events_root)
-        ]
-        if len(set(per_epoch)) == 1 and per_epoch[0]:
-            ds = rd.read_parquet(
-                events_root, columns=list(per_epoch[0]) + ["epoch"]
-            )
-        else:
-            ds = rd.read_parquet(events_root)
-        want = pa.array(pending, pa.int64())
-
-        def keep_pending(t: pa.Table) -> pa.Table:
-            e = pc.cast(t.column("epoch"), pa.int64())
-            return t.set_column(
-                t.column_names.index("epoch"), "epoch", e
-            ).filter(pc.is_in(e, value_set=want))
-
-        # already-committed (partition, epoch) pairs (crash resume)
-        committed = self.committed_map()
-        if cfg.exchange_mode == "spill":
-            all_epochs = list(pending)
-            boot_thread = None
-            boot_err: list[BaseException] = []
-            if bootstrap is not None:
-                # overlap the bootstrap spill with the stream spill: the
-                # two executions write DISJOINT spill dirs (epoch -1 vs
-                # pending epochs) and the fold starts only after both
-                # join, so durability ordering is unchanged while the
-                # ~0.8s serial bootstrap execution hides under the big
-                # one (measured phase profile, BASELINE.md round 3)
-                import threading
-
-                def run_boot():
-                    try:
-                        self.spill_bootstrap(bootstrap, committed or None)
-                    except BaseException as e:  # re-raised on join
-                        boot_err.append(e)
-
-                boot_thread = threading.Thread(target=run_boot)
-                boot_thread.start()
-                all_epochs = pending + [BOOTSTRAP_EPOCH]
-            try:
-                self._spill_phase(
-                    ds.map_batches(keep_pending, batch_format="pyarrow"),
-                    pending, None, committed or None,
-                    pending_filter=pending,
-                )
-            finally:
-                # join on the FAILURE path too: an in-process retry would
-                # otherwise prepare_spill_dirs (rmtree epoch -1) while the
-                # orphaned thread is still writing into it
-                if boot_thread is not None:
-                    boot_thread.join()
-            if boot_err:
-                raise boot_err[0]
-            rows = self._fold_phase(all_epochs)
-            for e in all_epochs:
-                self.lake.mark_epoch_done(e)
-            cleanup_spill(cfg.lake_root, all_epochs)
-            return rows
-        ds = ds.map_batches(keep_pending, batch_format="pyarrow")
-        if bootstrap is not None:
-            bs = (
-                _table_to_blocks(bootstrap)
-                if isinstance(bootstrap, pa.Table)
-                else bootstrap
-            )
-
-            def to_boot_events(t: pa.Table) -> pa.Table:
-                t = as_insert_events(t)
-                return t.append_column(
-                    "epoch",
-                    pa.array([BOOTSTRAP_EPOCH] * t.num_rows, pa.int64()),
-                )
-
-            ds = ds.union(bs.map_batches(to_boot_events, batch_format="pyarrow"))
-            pending = pending + [BOOTSTRAP_EPOCH]
-        ds = ds.map_batches(
-            make_transform(cfg, keep_epoch=True),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            zero_copy_batch=True,
-        )
-        if committed:
-            def drop_committed(t: pa.Table) -> pa.Table:
-                mask = np.zeros(t.num_rows, dtype=bool)
-                eps = t.column("epoch").to_numpy()
-                parts = t.column("partition").to_numpy()
-                for e, ps in committed.items():
-                    if ps:
-                        mask |= (eps == e) & np.isin(
-                            parts, np.fromiter(ps, dtype=np.int64)
-                        )
-                return t.filter(pa.array(~mask))
-
-            ds = ds.map_batches(drop_committed, batch_format="pyarrow")
-        lake_root, cfg_json = cfg.lake_root, self._cfg_json
-
-        def apply_group(group: pa.Table) -> pa.Table:
-            # group = ONE partition, all epochs. The partition checkpoint is
-            # read-modify-write, so all of a partition's epoch commits must
-            # come from this single task (mirrors make_fold_commit_stage);
-            # grouping by (partition, epoch) would race two epochs' commits
-            # on one checkpoint and could silently drop a delta reference.
-            if group.num_rows == 0:
-                return METRICS_SCHEMA.empty_table()
-            applier = PartitionApplier(lake_root, None, cfg_json)
-            eps = pc.cast(group.column("epoch"), pa.int64()).to_numpy()
-            order = np.argsort(eps, kind="stable")
-            group = group.take(pa.array(order))
-            eps = eps[order]
-            bounds = np.flatnonzero(np.diff(eps)) + 1
-            starts = np.concatenate([[0], bounds])
-            ends = np.concatenate([bounds, [group.num_rows]])
-            outs = [
-                applier(group.slice(lo, hi - lo))
-                for lo, hi in zip(starts, ends)
-            ]
-            return pa.concat_tables(outs)
-
-        rows = (
-            ds.sort("partition")
-            .map_batches(per_group(apply_group, "partition", "pyarrow"),
-                         batch_size=None, batch_format="pyarrow")
-            .take_all()
-        )
-        for e in pending:
-            self.lake.mark_epoch_done(e)
-        return rows
-
-    @staticmethod
-    def _event_columns(path: str) -> list[str] | None:
-        """Columns present in the epoch's parquet files (payload only —
-        excludes the hive partition column)."""
-        import pyarrow.parquet as pq
-
-        for f in sorted(os.listdir(path)):
-            if f.endswith(".parquet"):
-                return pq.read_schema(os.path.join(path, f)).names
-        return None
+        """Replay every epoch dir under events_root not yet marked done,
+        after loading `bootstrap` (if given) as epoch -1; see replay_jobs."""
+        boot = None if bootstrap is None else ("docs", bootstrap)
+        return replay_jobs([self], events_root, [boot], publish, catch_up)[0]
 
     def tail(
         self,
@@ -667,14 +595,7 @@ class ReplayJob:
 
     def bootstrap(self, base: rd.Dataset | pa.Table, table: str = "docs") -> list[dict]:
         """Load the base snapshot as epoch -1 (insert events at log_pos 0)."""
-        if isinstance(base, pa.Table):
-            # a driver-held table is one block => one serial task; slice it
-            # so transform/exchange/apply parallelize
-            base = _table_to_blocks(base)
-        base = base.map_batches(
-            lambda t: as_insert_events(t, table), batch_format="pyarrow"
-        )
-        return self.apply_epoch(BOOTSTRAP_EPOCH, base)
+        return self.apply_epoch(BOOTSTRAP_EPOCH, _snapshot_events(base, table))
 
     def repair(
         self, snapshot: rd.Dataset, repair_id: int = 0, table: str = "docs"
@@ -682,10 +603,9 @@ class ReplayJob:
         """Re-upsert a source snapshot (rows carry their own log_pos); LWW
         makes stale rows no-ops — the reference's 60s range-scan repair loop
         (mysql_handler.go:483-604) as a one-shot idempotent job."""
-        snapshot = snapshot.map_batches(
-            lambda t: as_insert_events(t, table), batch_format="pyarrow"
+        return self.apply_epoch(
+            REPAIR_EPOCH_BASE + repair_id, _snapshot_events(snapshot, table)
         )
-        return self.apply_epoch(REPAIR_EPOCH_BASE + repair_id, snapshot)
 
     # --- inspector (ref §3.3) -----------------------------------------------
 

@@ -1,20 +1,21 @@
-"""Stateful apply stage: the per-partition LWW upsert writer, run as a Ray
-actor pool via ``groupby("partition").map_groups(PartitionApplier, ...)``.
+"""Commit helpers for the fold stage (stages/exchange.py): the final LWW
+reduce of one partition's events and its exactly-once commit.
 
 The reference serializes every apply through one goroutine + one SQL
 round-trip per event (/root/reference/src/application/strategy/syncmq/
 sync_mq.go:30,74-94, mysql_handler.go:296-311). Here each hash partition of
-doc_id is owned by exactly one group-task per epoch, giving the same per-key
-serial-apply guarantee N-way parallel, and the actor pool amortizes state
-setup across batches (the actor-state analog of the reference's metadata LRU,
-mysql_handler.go:45-53).
+doc_id is committed by exactly one fold task per execution, giving the same
+per-key serial-apply guarantee N-way parallel; the per-(partition, epoch)
+commit log makes a retried or re-run commit a no-op.
 """
 
 from __future__ import annotations
 
-import pyarrow as pa
+from typing import Callable
 
-from ..config import SyncConfig
+import pyarrow as pa
+import pyarrow.compute as pc
+
 from ..state.lake import Lake
 from .merge import events_to_delta, lww_winners
 
@@ -35,68 +36,41 @@ METRICS_SCHEMA = pa.schema(
 )
 
 
-class PartitionApplier:
-    """Callable class for map_groups: one group = one (partition, epoch).
+def to_delta(events: pa.Table, key: str, order: str) -> pa.Table:
+    """Final LWW reduce -> delta rows, key-sorted so a retried task writes
+    byte-identical file content."""
+    return events_to_delta(lww_winners(events, key=key, order=order)).sort_by(key)
 
-    __init__ runs once per actor (lake handle, config parse — ref: schema
-    LRU T1); __call__ runs per partition-group: final LWW reduce ->
-    delta normalize -> exactly-once commit via the lake's commit log.
-    """
 
-    def __init__(self, lake_root: str, epoch: int | None, cfg_json: str):
-        """epoch=None (catch-up mode): each group carries its own epoch
-        column; the group key is (partition, epoch)."""
-        # one Arrow thread per task: N concurrent tasks each spinning up
-        # pyarrow's default per-process pool (=all cores) oversubscribes the
-        # node ~Nx and quadruples per-task latency at high concurrency
-        if pa.cpu_count() != 1:
-            pa.set_cpu_count(1)
-        self.lake = Lake(lake_root)
-        self.epoch = epoch
-        self.cfg = SyncConfig.from_json(cfg_json)
-
-    def __call__(self, group: pa.Table, n_in: int | None = None) -> pa.Table:
-        """n_in: raw (pre-combine) event count override — the chunked fold
-        reduces fragments before calling, so group.num_rows undercounts."""
-        if group.num_rows == 0:
-            return METRICS_SCHEMA.empty_table()
-        partition = group.column("partition")[0].as_py()
-        epoch = self.epoch
-        if epoch is None:
-            epoch = group.column("epoch")[0].as_py()
-            group = group.drop_columns(["epoch"])
-        if n_in is None:
-            n_in = group.num_rows
-        vc = pa.compute.value_counts(group.column(self.cfg.key_column))
-        max_key = (
-            pa.compute.max(vc.field("counts")).as_py() if len(vc) else 0
-        )
+def commit_recording_failure(lake: Lake, partition: int, commit: Callable):
+    """Run one partition commit; on error count it in the checkpoint's
+    failures (T4), then re-raise so Ray retries the task."""
+    try:
+        return commit()
+    except Exception as e:
         try:
-            winners = lww_winners(
-                group, key=self.cfg.key_column, order=self.cfg.order_column
-            )
-            delta = events_to_delta(winners)
-            # deterministic file content under task retries: sort by key
-            delta = delta.sort_by(self.cfg.key_column)
-            m = self.lake.commit_delta(partition, epoch, delta, n_in)
-        except Exception as e:  # count, then let Ray retry the task (T4)
-            try:
-                self.lake.record_failure(partition, repr(e))
-            except Exception:
-                pass
-            raise
-        return pa.Table.from_pylist(
-            [
-                {
-                    "partition": m["partition"],
-                    "epoch": m["epoch"],
-                    "events_in": m["events_in"],
-                    "rows_written": m["rows_written"],
-                    "replayed": m["replayed"],
-                    "watermark_log_pos": m["watermark_log_pos"],
-                    "apply_sec": m["apply_sec"],
-                    "max_key_events": int(max_key),
-                }
-            ],
-            schema=METRICS_SCHEMA,
-        )
+            lake.record_failure(partition, repr(e))
+        except Exception:
+            pass
+        raise
+
+
+def commit_partition(
+    lake: Lake, epoch: int, events: pa.Table, n_in: int, key: str, order: str
+) -> pa.Table:
+    """Reduce and commit one partition's events for one epoch; returns its
+    metrics row. n_in is the raw (pre-combine) event count — the chunked
+    fold reduces fragments before calling, so events.num_rows undercounts."""
+    partition = events.column("partition")[0].as_py()
+    vc = pc.value_counts(events.column(key))
+    max_key = pc.max(vc.field("counts")).as_py() if len(vc) else 0
+    m = commit_recording_failure(
+        lake,
+        partition,
+        lambda: lake.commit_delta(
+            partition, epoch, to_delta(events, key, order), n_in
+        ),
+    )
+    return pa.Table.from_pylist(
+        [{**m, "max_key_events": int(max_key)}], schema=METRICS_SCHEMA
+    )

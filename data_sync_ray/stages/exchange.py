@@ -1,31 +1,36 @@
-"""Spill-based hash exchange — the engine's default partition router.
+"""Spill-based hash exchange — the engine's only partition router.
 
-Ray Data's groupby shuffle is sort-based: it materializes the whole input,
-samples boundaries, and runs map/reduce rounds behind an all-to-all barrier.
-For this workload (route rows to their doc_id hash partition) a sort is
-semantically unnecessary, and the barrier caps utilization (~20% measured).
-
-This exchange instead uses the lake's own filesystem as the shuffle medium:
+Every replay (one table or N, one epoch or a backlog, plus bootstrap and
+repair) routes rows to their doc_id hash partition through this exchange.
+Ray Data's groupby shuffle would sort: materialize the whole input, sample
+boundaries, and run map/reduce rounds behind an all-to-all barrier (~20%
+utilization measured). Routing needs no sort, so this exchange uses the
+lake's own filesystem as the shuffle medium:
 
   phase 1 (streaming, NO barrier):  read -> transform -> write each batch's
       rows into per-(epoch, group) spill files (group = partition % G),
-      lz4-compressed, uuid-named;
-  phase 2 (one task per (epoch, group)): read that group's spill files,
-      split by partition, LWW-reduce, commit delta + checkpoint
-      exactly-once per (partition, epoch).
+      lz4-compressed, uuid-named; each batch returns its per-(epoch, group)
+      row counts;
+  phase 2 (one task per group, all epochs): read that group's spill files,
+      check they hold at least the counted rows, split by partition,
+      LWW-reduce, commit delta + checkpoint exactly-once per
+      (partition, epoch).
 
 Why at-least-once spill is safe: change events are idempotent under the
 LWW fold — a duplicated event produces a (key, log_pos) tie and the winner
 kernel keeps exactly one row (merge.py). So phase-1 task retries and
 crash-reruns may append duplicate spill rows without any commit log; only
 phase 2 needs exactly-once, and it already has the per-(partition, epoch)
-commit log. Spill dirs are deleted after the epoch is marked done.
+commit log. Fewer rows than phase 1 counted means a fragment was lost or
+quarantined, and phase 2 refuses to commit that (epoch, group) short.
+Spill dirs are deleted after the epoch is marked done.
 
-Multi-node assumption (documented): the spill directory lives on the lake's
-filesystem, which at cluster scale is shared storage (object store / NFS) —
-the standard lakehouse ingest pattern (write temp files, then commit).
-Spill fan-in per (epoch, group) is (#phase-1 tasks); size G to the cluster
-so files stay >= a few MB.
+Multi-node assumption (still open; ROADMAP item 2's object-store
+exchange): the spill directory lives on the lake's filesystem, which at
+cluster scale must be shared storage (NFS or similar) — the standard
+lakehouse ingest pattern (write temp files, then commit). Spill fan-in per
+(epoch, group) is (#phase-1 tasks); size G to the cluster so files stay
+>= a few MB.
 """
 
 from __future__ import annotations
@@ -38,6 +43,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.ipc as ipc
+
+from ..config import SyncConfig
+from .apply import (
+    METRICS_SCHEMA,
+    commit_partition,
+    commit_recording_failure,
+    to_delta,
+)
+from .transform import make_transform
 
 #: spill fragments are Arrow IPC streams with lz4 frames — 3-6x cheaper to
 #: encode/decode than parquet (no column encoding/stats); they live minutes
@@ -60,7 +74,9 @@ def _read_spill_safe(path: str) -> pa.Table | None:
     A killed phase-1 task can leave a truncated fragment while its Ray
     retry re-emits the same rows into a new fragment; LWW collapses the
     duplicates, so skipping a corrupt fragment is safe (and blocking the
-    fold on it would wedge replay until manual spill cleanup)."""
+    fold on it would wedge replay until manual spill cleanup). A skipped
+    fragment whose rows no retry re-emitted leaves its (epoch, group)
+    short of the spilled count, which the fold refuses to commit."""
     try:
         return _read_spill(path)
     except (pa.ArrowInvalid, OSError):
@@ -70,9 +86,6 @@ def _read_spill_safe(path: str) -> pa.Table | None:
             pass
         return None
 
-from ..config import SyncConfig
-from .apply import METRICS_SCHEMA, PartitionApplier
-from .transform import make_transform
 
 COUNTS_SCHEMA = pa.schema(
     [("epoch", pa.int64()), ("g", pa.int32()), ("rows", pa.int64())]
@@ -110,7 +123,8 @@ def make_spill_stage(
     """Phase-1 fn for map_batches: [epoch filter ->] transform -> split by
     (epoch, group) -> write spill fragments. epoch=None means catch-up mode
     (the batch carries an epoch column; `pending` filters to those epochs).
-    Returns per-group row counts (tiny)."""
+    Returns the rows written per (epoch, group) — tiny; the fold checks
+    its fragments against their sum."""
     groups = cfg.spill_groups
     lake_root = cfg.lake_root
     key_col, order_col = cfg.key_column, cfg.order_column
@@ -194,7 +208,11 @@ def make_spill_stage(
     return spill
 
 
-def make_fold_commit_stage(cfg: SyncConfig, epochs: list[int]):
+def make_fold_commit_stage(
+    cfg: SyncConfig,
+    epochs: list[int],
+    spilled: dict[tuple[int, int], int] | None = None,
+):
     """Phase-2 fn for map_batches over GROUP items: read each epoch's
     spill fragments for the group, split by partition, exactly-once commit.
 
@@ -204,6 +222,11 @@ def make_fold_commit_stage(cfg: SyncConfig, epochs: list[int]):
     race two epochs' commits on the same checkpoint and could silently
     drop a delta reference. One task per group serializes a partition's
     commits structurally; parallelism = G (size G to the cluster).
+
+    spilled: (epoch, group) -> rows the spill stage reported writing. An
+    (epoch, group) whose readable fragments hold fewer rows raises before
+    any of its partitions commits (more is fine: retried spill tasks
+    duplicate rows). None skips the check.
 
     Memory is bounded by cfg.fold_chunk_rows: fragments stream through an
     incremental LWW reduce (safe: the fold algebra is associative and
@@ -220,17 +243,16 @@ def make_fold_commit_stage(cfg: SyncConfig, epochs: list[int]):
     executions (tailing) keep the per-epoch delta naming unchanged.
     """
     lake_root = cfg.lake_root
-    cfg_json = cfg.to_json()
     key_col, order_col = cfg.key_column, cfg.order_column
     chunk_rows = max(1, cfg.fold_chunk_rows)
     # commit-order independence (LWW total order) lets the fold process
-    # epochs sorted regardless of caller order (the batched path appends
+    # epochs sorted regardless of caller order (the driver appends
     # bootstrap -1 last); span naming/lineage want ascending epochs
     epochs = sorted(int(e) for e in epochs)
     span = max(1, cfg.span_commit_epochs)
 
     from ..state.lake import Lake
-    from .merge import events_to_delta, lww_winners, unify_concat
+    from .merge import lww_winners, unify_concat
 
     def reduce_pending(state: pa.Table | None, pending: list[pa.Table]):
         tables = ([state] if state is not None else []) + pending
@@ -242,18 +264,19 @@ def make_fold_commit_stage(cfg: SyncConfig, epochs: list[int]):
         """Fold one (group, epoch)'s spill fragments -> (winners table
         sorted+split-ready, raw per-partition event counts)."""
         gdir = spill_dir(lake_root, e, gi)
-        if not os.path.isdir(gdir):
-            return None, {}
+        names = sorted(os.listdir(gdir)) if os.path.isdir(gdir) else []
         state: pa.Table | None = None
         pending: list[pa.Table] = []
         pending_rows = 0
+        rows_read = 0
         raw_counts: dict[int, int] = {}
-        for f in sorted(os.listdir(gdir)):
+        for f in names:
             if not f.endswith(".arrows"):
                 continue
             t = _read_spill_safe(os.path.join(gdir, f))
             if t is None or t.num_rows == 0:
                 continue
+            rows_read += t.num_rows
             if "epoch" in t.column_names:
                 t = t.drop_columns(["epoch"])
             pv, pc_ = np.unique(
@@ -266,6 +289,13 @@ def make_fold_commit_stage(cfg: SyncConfig, epochs: list[int]):
             if pending_rows >= chunk_rows:
                 state = reduce_pending(state, pending)
                 pending, pending_rows = [], 0
+        want = (spilled or {}).get((e, gi), 0)
+        if rows_read < want:
+            raise RuntimeError(
+                f"spill for epoch {e} group {gi} holds {rows_read} rows, "
+                f"{want} were spilled (lost or unreadable fragment); "
+                "nothing of it was committed — rerun the replay"
+            )
         state = reduce_pending(state, pending)
         if state is None or state.num_rows == 0:
             return None, raw_counts
@@ -283,27 +313,31 @@ def make_fold_commit_stage(cfg: SyncConfig, epochs: list[int]):
             yield int(parts[lo]), state.slice(lo, hi - lo)
 
     def fold_commit(batch: pa.Table) -> pa.Table:
+        # one Arrow thread per task: N concurrent tasks each spinning up
+        # pyarrow's default per-process pool (=all cores) oversubscribes the
+        # node ~Nx and quadruples per-task latency at high concurrency
+        if pa.cpu_count() != 1:
+            pa.set_cpu_count(1)
+        lake = Lake(lake_root)
         outs = []
         for gi in batch.column("g").to_pylist():
             gi = int(gi)
             if len(epochs) == 1:
-                # tail / single-epoch execution: the round-3 path,
-                # per-epoch delta naming unchanged
+                # tail / single-epoch execution: per-epoch delta naming
                 e = epochs[0]
-                applier = PartitionApplier(lake_root, e, cfg_json)
                 state, raw_counts = fold_one_epoch(gi, e)
                 if state is None:
                     continue
                 for p, sub in split_partitions(state):
-                    outs.append(
-                        applier(sub, n_in=raw_counts.get(p, sub.num_rows))
-                    )
+                    outs.append(commit_partition(
+                        lake, e, sub, raw_counts.get(p, sub.num_rows),
+                        key_col, order_col,
+                    ))
                 continue
             # batched catch-up: ONE span commit per partition per up-to-
             # `span` consecutive epochs (commit_delta_span amortizes the
             # parquet writer + checkpoint RMW that dominated multi-epoch
             # backlogs; fold memory is O(keys x span-chunk), bounded)
-            lake = Lake(lake_root)
             for c0 in range(0, len(epochs), span):
                 e_chunk = epochs[c0 : c0 + span]
                 per_part: dict[int, list[tuple[int, pa.Table, int]]] = {}
@@ -312,22 +346,14 @@ def make_fold_commit_stage(cfg: SyncConfig, epochs: list[int]):
                     if state is None:
                         continue
                     for p, sub in split_partitions(state):
-                        # same normalization as PartitionApplier.__call__
-                        delta = events_to_delta(
-                            lww_winners(sub, key=key_col, order=order_col)
-                        ).sort_by(key_col)
-                        per_part.setdefault(p, []).append(
-                            (e, delta, raw_counts.get(p, sub.num_rows))
-                        )
+                        per_part.setdefault(p, []).append((
+                            e, to_delta(sub, key_col, order_col),
+                            raw_counts.get(p, sub.num_rows),
+                        ))
                 for p in sorted(per_part):
-                    try:
-                        ms = lake.commit_delta_span(p, per_part[p])
-                    except Exception as err:  # count, then let Ray retry
-                        try:
-                            lake.record_failure(p, repr(err))
-                        except Exception:
-                            pass
-                        raise
+                    ms = commit_recording_failure(
+                        lake, p, lambda: lake.commit_delta_span(p, per_part[p])
+                    )
                     outs.append(pa.Table.from_pylist(
                         [{**m, "max_key_events": 1} for m in ms],
                         schema=METRICS_SCHEMA,

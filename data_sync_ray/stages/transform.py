@@ -187,7 +187,8 @@ def make_transform(
     lake_payload = {"doc_id", "tokens", "n_tok", "source"}
 
     def transform(t: pa.Table) -> pa.Table:
-        # single Arrow thread per task (see apply.py: oversubscription)
+        # single Arrow thread per task (see exchange.py fold_commit:
+        # oversubscription)
         if pa.cpu_count() != 1:
             pa.set_cpu_count(1)
         t = filter_tables(t, cfg)

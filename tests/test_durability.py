@@ -6,8 +6,10 @@
   cleared, never wedge the fold (ADVICE: exchange.py);
 - reopening a lake with different immutable config must fail loudly, not
   silently re-route keys (ADVICE: Lake.create CONFIG.json overwrite);
-- sort-mode catch-up must serialize a partition's epoch commits in one
-  task (ADVICE high: (partition, epoch) grouping raced the checkpoint RMW);
+- catch-up must serialize a partition's epoch commits in one task
+  (ADVICE high: (partition, epoch) grouping raced the checkpoint RMW);
+- the fold must never commit fewer rows than the spill wrote;
+- a lake whose CONFIG.json names retired config fields still opens;
 - the T4 failures counter is actually wired.
 """
 
@@ -118,15 +120,18 @@ def test_chunked_fold_bounded_memory_equals_oracle(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_sort_catchup_single_committer_per_partition(tmp_path):
-    """Sort-mode catch-up: all of a partition's epochs commit from ONE
-    group task (serially), so no checkpoint RMW race can drop a delta.
-    Verified by (a) oracle equality and (b) every applied epoch's delta
-    file still referenced in the checkpoint it committed to."""
+def test_spill_catchup_single_committer_per_partition(tmp_path):
+    """Spill catch-up: all of a partition's epochs commit from ONE fold
+    task (serially, here as three span commits), so no checkpoint RMW
+    race can drop a delta. Verified by (a) oracle equality and (b) every
+    epoch that wrote rows still covered by a per-epoch or span delta
+    referenced in the checkpoint it committed to."""
+    import re
+
     spec = StreamSpec(n_events=4000, n_docs=250, n_epochs=5, seed=99)
     base, epochs, ev_root = build_fixture(str(tmp_path), spec, n_base=250,
                                           seed=99)
-    job = make_job(str(tmp_path), exchange_mode="sort")
+    job = make_job(str(tmp_path), span_commit_epochs=2)
     summary = job.replay(ev_root, bootstrap=base, catch_up=True)
     assert summary["epochs_run"] == 5
     assert_tables_equal(job.lake.read_all(), replay_oracle(base, epochs))
@@ -135,14 +140,111 @@ def test_sort_catchup_single_committer_per_partition(tmp_path):
         lineage_writes = {
             ln["epoch"] for ln in ck["lineage"] if ln["rows_written"] > 0
         }
-        referenced = {
-            os.path.basename(f) for f in ck["files"]
-        }
+        covered = set()
+        for f in ck["files"]:
+            name = os.path.basename(f)
+            if name == "delta-bootstrap.parquet":
+                covered.add(-1)
+            elif m := re.fullmatch(r"delta-e(\d+)\.parquet", name):
+                covered.add(int(m.group(1)))
+            elif m := re.fullmatch(r"delta-s(-?\d+)_(-?\d+)\.parquet", name):
+                covered |= set(range(int(m.group(1)), int(m.group(2)) + 1))
         for e in lineage_writes:
-            tag = f"e{e:07d}" if e >= 0 else "bootstrap"
-            assert f"delta-{tag}.parquet" in referenced, (
+            assert e in covered, (
                 f"partition {p}: epoch {e} delta lost from checkpoint"
             )
+
+
+def _spill_epochs(cfg, tables: dict[int, pa.Table], batch_rows: int):
+    """Ray-free phase 1: spill each epoch in batches (several fragments per
+    (epoch, group)); returns the reported rows per (epoch, group)."""
+    from data_sync_ray.stages.exchange import make_spill_stage
+
+    prepare_spill_dirs(cfg.lake_root, sorted(tables), cfg.spill_groups)
+    spilled: dict[tuple[int, int], int] = {}
+    for e, t in tables.items():
+        stage = make_spill_stage(cfg, e)
+        for off in range(0, t.num_rows, batch_rows):
+            for r in stage(t.slice(off, batch_rows)).to_pylist():
+                key = (r["epoch"], r["g"])
+                spilled[key] = spilled.get(key, 0) + r["rows"]
+    return spilled
+
+
+def _fold_groups(cfg, epochs, spilled, groups) -> None:
+    from data_sync_ray.stages.exchange import make_fold_commit_stage
+
+    fold = make_fold_commit_stage(cfg, epochs, spilled)
+    for g in groups:
+        fold(pa.table({"g": pa.array([g], pa.int64())}))
+
+
+def _fragments(cfg, e: int, g: int) -> list[str]:
+    d = spill_dir(cfg.lake_root, e, g)
+    return sorted(os.path.join(d, f) for f in os.listdir(d))
+
+
+@pytest.mark.parametrize("epochs", [[1], [1, 2]])
+def test_fold_refuses_to_commit_short_spill(tmp_path, epochs):
+    """Row conservation: when a good fragment is lost (deleted) or
+    unreadable (truncated, then quarantined), the fold of that
+    (epoch, group) raises before committing, on the single-epoch and the
+    span path, and leaves every checkpoint as it was."""
+    cfg = SyncConfig(lake_root=str(tmp_path / "lake"), num_partitions=4,
+                     spill_groups=2)
+    lake = Lake.create(cfg)
+    tables = gen_change_stream(
+        StreamSpec(n_events=900, n_docs=60, n_epochs=3, seed=5)
+    )
+    _fold_groups(cfg, [0], _spill_epochs(cfg, {0: tables[0]}, 100), [0, 1])
+    before = {p: lake.read_checkpoint(p) for p in lake.partitions()}
+    assert before
+
+    spilled = _spill_epochs(cfg, {e: tables[e] for e in epochs}, 100)
+    truncated = _fragments(cfg, epochs[-1], 0)[0]
+    with open(truncated, "r+b") as f:
+        f.truncate(os.path.getsize(truncated) // 2)
+    os.remove(_fragments(cfg, epochs[0], 1)[0])
+    for g in (0, 1):
+        with pytest.raises(RuntimeError, match="were spilled"):
+            _fold_groups(cfg, epochs, spilled, [g])
+    assert {p: lake.read_checkpoint(p) for p in lake.partitions()} == before
+
+
+def test_fold_accepts_duplicated_spill_rows(tmp_path):
+    """More rows than reported (a retried spill task's duplicate fragment)
+    is not a loss: the fold commits, and LWW collapses the duplicates."""
+    import shutil
+
+    cfg = SyncConfig(lake_root=str(tmp_path / "lake"), num_partitions=4,
+                     spill_groups=2)
+    lake = Lake.create(cfg)
+    events = gen_change_stream(
+        StreamSpec(n_events=300, n_docs=40, n_epochs=1, seed=6)
+    )[0]
+    spilled = _spill_epochs(cfg, {0: events}, 100)
+    frag = _fragments(cfg, 0, 0)[0]
+    shutil.copy(frag, frag.replace(".arrows", "-retry.arrows"))
+    _fold_groups(cfg, [0], spilled, [0, 1])
+    assert_tables_equal(lake.read_all(), replay_oracle(None, [events]))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_lake_config_with_retired_fields_still_opens(tmp_path):
+    """A CONFIG.json that still names the removed exchange_mode /
+    apply_mode / apply_concurrency fields reopens and replays."""
+    spec = StreamSpec(n_events=600, n_docs=60, n_epochs=2, seed=8)
+    base, epochs, ev_root = build_fixture(str(tmp_path), spec, n_base=60,
+                                          seed=8)
+    cfg = SyncConfig(lake_root=str(tmp_path / "lake"), num_partitions=4)
+    lake = Lake.create(cfg)
+    old = json.loads(cfg.to_json())
+    old.update(exchange_mode="spill", apply_mode="tasks", apply_concurrency=4)
+    lake.storage.doc_write_json("CONFIG.json", old)
+    assert lake.config() == cfg
+    job = ReplayJob(cfg)
+    job.replay(ev_root, bootstrap=base)
+    assert_tables_equal(job.lake.read_all(), replay_oracle(base, epochs))
 
 
 @pytest.mark.usefixtures("ray_session")

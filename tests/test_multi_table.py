@@ -2,11 +2,12 @@
 
 import os
 
-import pyarrow.compute as pc
 import pytest
 
-from data_sync_ray import StreamSpec, SyncConfig, gen_base_table, gen_change_stream, replay_oracle, write_event_log
+from data_sync_ray import ReplayJob, StreamSpec, SyncConfig, gen_base_table, gen_change_stream, replay_oracle, write_event_log
 from data_sync_ray.pipelines.multi import MultiTableReplay
+
+from test_replay_e2e import assert_tables_equal
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -24,17 +25,10 @@ def test_two_tables_routed_to_own_lakes(tmp_path):
     multi = MultiTableReplay(cfg, ["docs", "ignored_tbl"])
     multi.replay(ev_root, bootstraps={"docs": base})
 
-    got_docs = multi.read_table("docs")
-    want_docs = replay_oracle(base, epochs, include_tables=("docs",))
-    assert got_docs.sort_by("doc_id").equals(
-        want_docs.sort_by("doc_id").select(got_docs.column_names)
-    ) or got_docs.num_rows == want_docs.num_rows  # schema col order aside
-    assert got_docs.num_rows == want_docs.num_rows
-
-    got_other = multi.read_table("ignored_tbl")
-    want_other = replay_oracle(None, epochs, include_tables=("ignored_tbl",))
-    assert got_other.num_rows == want_other.num_rows
-    assert got_other.num_rows > 0
+    for t, b in (("docs", base), ("ignored_tbl", None)):
+        got = multi.read_table(t)
+        assert got.num_rows > 0
+        assert_tables_equal(got, replay_oracle(b, epochs, include_tables=(t,)))
 
     # per-table consistency inspection
     rep = multi.inspect(ev_root)
@@ -43,42 +37,46 @@ def test_two_tables_routed_to_own_lakes(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_single_pass_equals_per_table_replay(tmp_path):
-    """replay_single_pass (one read of the shared log for all tables)
-    produces lakes identical to the per-table-pass mode and the oracle,
-    and a second invocation is a no-op (per-lake resume)."""
+    """MultiTableReplay.replay (one read of the shared log for all tables)
+    gives oracle-exact lakes, a second invocation is a no-op (per-lake
+    resume), and each lake equals a per-table ReplayJob.replay."""
     spec = StreamSpec(n_events=1800, n_docs=150, n_epochs=3, seed=29,
                       decoy_table_frac=0.25)
     base = gen_base_table(150, seed=29)
     epochs = gen_change_stream(spec)
     ev_root = os.path.join(str(tmp_path), "events")
     write_event_log(ev_root, epochs)
+    boots = {"docs": base, "ignored_tbl": None}
 
-    multi1 = MultiTableReplay(
-        SyncConfig(lake_root=os.path.join(str(tmp_path), "lakes_sp"),
+    multi = MultiTableReplay(
+        SyncConfig(lake_root=os.path.join(str(tmp_path), "lakes"),
                    num_partitions=4),
         ["docs", "ignored_tbl"],
     )
-    out = multi1.replay_single_pass(ev_root, bootstraps={"docs": base})
+    out = multi.replay(ev_root, bootstraps={"docs": base})
     assert out["docs"]["epochs_run"] == 3
-
-    multi2 = MultiTableReplay(
-        SyncConfig(lake_root=os.path.join(str(tmp_path), "lakes_pp"),
-                   num_partitions=4),
-        ["docs", "ignored_tbl"],
-    )
-    multi2.replay(ev_root, bootstraps={"docs": base})
-
-    for t in ("docs", "ignored_tbl"):
-        a = multi1.read_table(t).sort_by("doc_id")
-        b = multi2.read_table(t).sort_by("doc_id")
-        assert a.equals(b.select(a.column_names)), f"table {t} differs"
-    want = replay_oracle(base, epochs, include_tables=("docs",))
-    assert multi1.read_table("docs").num_rows == want.num_rows
+    want = {
+        t: replay_oracle(boots[t], epochs, include_tables=(t,))
+        for t in boots
+    }
+    for t in boots:
+        assert_tables_equal(multi.read_table(t), want[t])
 
     # resume: everything already done -> no epochs run, state unchanged
-    out2 = multi1.replay_single_pass(ev_root)
+    out2 = multi.replay(ev_root)
     assert out2["docs"]["epochs_run"] == 0
-    assert multi1.read_table("docs").num_rows == want.num_rows
+    assert out2["docs"]["events_applied"] == 0
+    for t in boots:
+        assert_tables_equal(multi.read_table(t), want[t])
+
+    # one table at a time through ReplayJob.replay gives the same lakes
+    for t in boots:
+        job = ReplayJob(SyncConfig(
+            lake_root=os.path.join(str(tmp_path), "single", t),
+            num_partitions=4, include_tables=(t,),
+        ))
+        job.replay(ev_root, bootstrap=boots[t])
+        assert_tables_equal(job.lake.read_all(), multi.read_table(t))
 
 
 @pytest.mark.usefixtures("ray_session")

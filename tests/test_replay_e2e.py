@@ -51,7 +51,6 @@ def make_job(tmpdir, **kw):
     cfg = SyncConfig(
         lake_root=os.path.join(tmpdir, "lake"),
         num_partitions=kw.pop("num_partitions", 8),
-        apply_concurrency=2,
         **kw,
     )
     return ReplayJob(cfg)
@@ -93,8 +92,7 @@ def test_catch_up_single_execution_with_bootstrap(tmp_path):
     import os as _os
 
     cfg2 = SyncConfig(
-        lake_root=_os.path.join(str(tmp_path), "lake2"), num_partitions=8,
-        apply_concurrency=2,
+        lake_root=_os.path.join(str(tmp_path), "lake2"), num_partitions=8
     )
     job2 = ReplayJob(cfg2)
     job2.bootstrap(base)
@@ -155,9 +153,7 @@ def test_crash_and_resume_mid_replay(tmp_path):
     job.apply_epoch(2, ds2)
     os.remove(os.path.join(job.lake.ckpt_dir, "_epochs.json"))
     # restart: a brand-new job over the same lake replays everything
-    cfg2 = SyncConfig(
-        lake_root=job.cfg.lake_root, num_partitions=8, apply_concurrency=2
-    )
+    cfg2 = SyncConfig(lake_root=job.cfg.lake_root, num_partitions=8)
     job2 = ReplayJob(cfg2, create=False)
     job2.replay(ev_root)
     want = replay_oracle(base, epochs)
@@ -331,10 +327,25 @@ def test_many_epochs_few_partitions_stress(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_tailing_mode_incremental_epochs(tmp_path):
+def test_tailing_mode_incremental_epochs(tmp_path, monkeypatch):
     """Kafka-tail analog: epoch dirs appear over time; each replay() call
-    picks up only the new ones; final state equals the full oracle."""
+    picks up only the new ones, reads only the new epoch's files and runs
+    two Ray Data executions (spill, fold); final state equals the full
+    oracle."""
     import shutil
+
+    import ray.data as rd
+
+    reads, executions = [], []
+    real_read, real_take_all = rd.read_parquet, rd.Dataset.take_all
+
+    def read_parquet(paths, **kw):
+        reads.append(paths)
+        return real_read(paths, **kw)
+
+    def take_all(ds, *a, **kw):
+        executions.append(ds)
+        return real_take_all(ds, *a, **kw)
 
     spec = StreamSpec(n_events=1800, n_docs=150, n_epochs=3, seed=67)
     base = gen_base_table(150, seed=67)
@@ -345,29 +356,25 @@ def test_tailing_mode_incremental_epochs(tmp_path):
     os.makedirs(live, exist_ok=True)
     job = make_job(str(tmp_path))
     job.bootstrap(base)
+    monkeypatch.setattr(rd, "read_parquet", read_parquet)
+    monkeypatch.setattr(rd.Dataset, "take_all", take_all)
     for e in range(3):
         shutil.copytree(
             os.path.join(staged, f"epoch={e:05d}"),
             os.path.join(live, f"epoch={e:05d}"),
         )
+        reads.clear()
+        executions.clear()
         summary = job.replay(live)
         assert summary["epochs_run"] == 1  # only the new epoch ran
+        [files] = reads
+        assert files and {os.path.dirname(f) for f in files} == {
+            os.path.join(live, f"epoch={e:05d}")
+        }
+        assert len(executions) == 2
         rep = job.inspect(live)
         assert rep["lag"] == 0
     assert_tables_equal(job.lake.read_all(), replay_oracle(base, epochs))
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_sort_exchange_and_actor_apply_paths_agree(tmp_path):
-    """Legacy paths cross-check: exchange_mode='sort' + apply_mode='actors'
-    produce the same lake state as the default spill/tasks path."""
-    spec = StreamSpec(n_events=1200, n_docs=100, n_epochs=2, seed=55)
-    base, epochs, ev_root = build_fixture(str(tmp_path), spec, n_base=100, seed=55)
-    want = replay_oracle(base, epochs)
-    job_sort = make_job(str(tmp_path), exchange_mode="sort",
-                        apply_mode="actors")
-    job_sort.replay(ev_root, bootstrap=base)
-    assert_tables_equal(job_sort.lake.read_all(), want)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -243,7 +243,6 @@ def test_objstore_replay_matches_posix_and_oracle(tmp_path):
         cfg = SyncConfig(
             lake_root=os.path.join(str(tmp_path), f"lake-{backend}"),
             num_partitions=8,
-            apply_concurrency=2,
             storage_backend=backend,
         )
         job = ReplayJob(cfg)

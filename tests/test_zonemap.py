@@ -220,7 +220,7 @@ class TestTimeTravel:
         ev_root = os.path.join(str(tmp_path), "events")
         write_event_log(ev_root, epochs)
         cfg = SyncConfig(lake_root=os.path.join(str(tmp_path), "lake"),
-                         num_partitions=8, apply_concurrency=2)
+                         num_partitions=8)
         job = ReplayJob(cfg)
         job.replay(ev_root, bootstrap=base)
         for e in range(-1, 3):

@@ -1,6 +1,9 @@
-"""Round-2 verify drive: e2e replay + crash probe + torn-marker probe,
-exercising the new code paths (sort-mode catch-up single-committer,
-stale-tmp sweep, spill-clear on prepare)."""
+"""Verify drive: e2e replay + crash probe + torn-marker probe against the
+sequential oracle (catch-up single-committer, stale-tmp sweep, spill-clear
+on prepare).
+
+usage: drive_verify.py WORKDIR [STOP_AFTER_EPOCH|-1]
+                       [spill|compact|zorder|multi][:objstore]"""
 import os
 import sys
 
@@ -15,6 +18,8 @@ mode = sys.argv[3] if len(sys.argv) > 3 else "spill"
 backend = "posix"
 if ":" in mode:
     mode, backend = mode.split(":", 1)
+if mode not in ("spill", "compact", "zorder", "multi"):
+    raise SystemExit(f"unknown mode {mode!r}")
 
 ray.init(address="local", num_cpus=8, include_dashboard=False)
 
@@ -33,9 +38,6 @@ if not os.path.isdir(ev_root):
 
 cfg = SyncConfig(
     lake_root=os.path.join(workdir, "lake"), num_partitions=16,
-    exchange_mode=(
-        "spill" if mode in ("compact", "zorder", "multi") else mode
-    ),
     storage_backend=backend,
     # zorder mode: secondary zone maps must be recorded so the pruned
     # where= read at the end actually skips files (and a torn
@@ -44,7 +46,7 @@ cfg = SyncConfig(
 )
 
 if mode == "multi":
-    # single-pass two-table replay over the shared log; BOTH lakes must
+    # one-pass two-table replay over the shared log; BOTH lakes must
     # match their table-filtered oracles exactly (per-lake exactly-once
     # commit logs resume independently after a kill)
     if stop_after >= 0:
@@ -55,7 +57,7 @@ if mode == "multi":
     from data_sync_ray.pipelines.multi import MultiTableReplay
 
     multi = MultiTableReplay(cfg, ["docs", "ignored_tbl"])
-    s = multi.replay_single_pass(ev_root, bootstraps={"docs": base})
+    s = multi.replay(ev_root, bootstraps={"docs": base})
     eq = True
     for tbl, b in (("docs", base), ("ignored_tbl", None)):
         got = multi.read_table(tbl).sort_by("doc_id")

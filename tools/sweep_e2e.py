@@ -1,8 +1,8 @@
-"""Extended randomized e2e sweep: varied specs x exchange modes x catch-up,
+"""Extended randomized e2e sweep: varied specs x catch-up on/off,
 exact-equality vs the sequential oracle each time; half the cases also
 compact afterwards and re-check, half export an incremental mirror and
-check it equals the lake; 5 extra cases run the single-pass multi-table
-path with both lakes checked against table-filtered oracles."""
+check it equals the lake; 5 extra cases run the multi-table replay with
+both lakes checked against table-filtered oracles."""
 import os, shutil, sys, ray
 ray.init(address="local", num_cpus=16, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
@@ -28,11 +28,11 @@ fails = 0
 OFF = int(sys.argv[1]) if len(sys.argv) > 1 else 0
 cases = []
 for seed in range(100 + OFF, 110 + OFF):
-    cases.append(dict(seed=seed, mode="spill", catch=True))
+    cases.append(dict(seed=seed, catch=True))
 for seed in range(200 + OFF, 205 + OFF):
-    cases.append(dict(seed=seed, mode="sort", catch=True))
+    cases.append(dict(seed=seed, catch=True))
 for seed in range(300 + OFF, 305 + OFF):
-    cases.append(dict(seed=seed, mode="spill", catch=False))
+    cases.append(dict(seed=seed, catch=False))
 import numpy as np
 rng = np.random.default_rng(9 + OFF)
 for i, c in enumerate(cases):
@@ -53,7 +53,6 @@ for i, c in enumerate(cases):
     ev = os.path.join(wd, "events"); write_event_log(ev, epochs)
     job = ReplayJob(SyncConfig(lake_root=os.path.join(wd, "lake"),
                                num_partitions=int(rng.choice([2, 4, 8, 16])),
-                               exchange_mode=c["mode"],
                                spill_groups=int(rng.choice([2, 4, 8])),
                                fold_chunk_rows=int(rng.choice([64, 2048, 2_000_000])),
                                storage_backend=str(rng.choice(["posix", "objstore"]))))
@@ -86,7 +85,7 @@ for i, c in enumerate(cases):
         print(f"FAIL case {i}: {c} spec={spec}")
     shutil.rmtree(wd, ignore_errors=True)
 
-# single-pass multi-table cases: both lakes vs table-filtered oracles
+# multi-table cases: both lakes vs table-filtered oracles
 from data_sync_ray.pipelines.multi import MultiTableReplay
 
 for j, seed in enumerate(range(400 + OFF, 405 + OFF)):
@@ -107,7 +106,7 @@ for j, seed in enumerate(range(400 + OFF, 405 + OFF)):
                    storage_backend=str(rng.choice(["posix", "objstore"]))),
         ["docs", "ignored_tbl"],
     )
-    multi.replay_single_pass(ev, bootstraps={"docs": base})
+    multi.replay(ev, bootstraps={"docs": base})
     ok = equal(multi.read_table("docs"),
                replay_oracle(base, epochs, include_tables=("docs",)))
     ok = ok and equal(
